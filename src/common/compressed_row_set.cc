@@ -406,6 +406,62 @@ CompressedRowSet CompressedRowSet::FromDense(const RowSet& dense) {
   return out;
 }
 
+void CompressedRowSet::AppendChunk(uint16_t key, const uint16_t* lows,
+                                   size_t count) {
+  FALCON_DCHECK(count > 0 && count <= kChunkRows);
+  FALCON_DCHECK((static_cast<size_t>(key) << 16) + lows[count - 1] <
+                universe_size_);
+  if (!containers_.empty() && containers_.back().key == key) {
+    // Streaming append into the tail chunk: Set semantics, in bulk.
+    Container& c = containers_.back();
+    FALCON_DCHECK(c.card > 0);
+    UnRun(c);
+    if (c.type == Type::kArray && c.card + count <= kArrayMaxCard) {
+      FALCON_DCHECK(c.vals.back() < lows[0]);
+      c.vals.insert(c.vals.end(), lows, lows + count);
+    } else {
+      ToBitmap(c);
+      for (size_t i = 0; i < count; ++i) {
+        c.bits[lows[i] >> 6] |= uint64_t{1} << (lows[i] & 63);
+      }
+    }
+    c.card += static_cast<uint32_t>(count);
+    return;
+  }
+  FALCON_DCHECK(containers_.empty() || containers_.back().key < key);
+  // The choice BuildFromWords(try_runs=true) makes, read off the sorted
+  // offsets instead of a decoded chunk.
+  size_t runs = 1;
+  for (size_t i = 1; i < count; ++i) {
+    runs += lows[i] != static_cast<uint32_t>(lows[i - 1]) + 1;
+  }
+  Container c;
+  c.key = key;
+  c.card = static_cast<uint32_t>(count);
+  if (RunBytes(runs) < std::min(ArrayBytes(count), kBitmapBytes)) {
+    c.type = Type::kRun;
+    c.vals.reserve(2 * runs);
+    size_t start = 0;
+    for (size_t i = 1; i <= count; ++i) {
+      if (i == count || lows[i] != static_cast<uint32_t>(lows[i - 1]) + 1) {
+        c.vals.push_back(lows[start]);
+        c.vals.push_back(static_cast<uint16_t>(lows[i - 1] - lows[start]));
+        start = i;
+      }
+    }
+  } else if (count <= kArrayMaxCard) {
+    c.type = Type::kArray;
+    c.vals.assign(lows, lows + count);
+  } else {
+    c.type = Type::kBitmap;
+    c.bits.assign(kWordsPerChunk, 0);
+    for (size_t i = 0; i < count; ++i) {
+      c.bits[lows[i] >> 6] |= uint64_t{1} << (lows[i] & 63);
+    }
+  }
+  containers_.push_back(std::move(c));
+}
+
 RowSet CompressedRowSet::ToDense() const {
   RowSet out(universe_size_);
   std::vector<uint64_t> buf(kWordsPerChunk);

@@ -77,6 +77,16 @@ class CompressedRowSet {
   /// Decompresses into a dense bitmap.
   RowSet ToDense() const;
 
+  /// Chunk-append builder: sets the ascending low-16 offsets
+  /// `lows[0, count)` (count > 0) of chunk `key`. `key` must not precede
+  /// the last container's key, and the rows must lie above every row
+  /// already set. A new chunk gets exactly the container FromDense builds
+  /// for the same bits — encoding, contents and capacity — so a set built
+  /// chunk by chunk matches FromDense in container_stats and HeapBytes.
+  /// Rows landing in the existing last chunk (streaming append) are added
+  /// as Set adds them.
+  void AppendChunk(uint16_t key, const uint16_t* lows, size_t count);
+
   size_t universe_size() const { return universe_size_; }
   /// Logical 64-bit word count (the dense representation's num_words()).
   size_t num_words() const { return (universe_size_ + 63) / 64; }
@@ -203,8 +213,9 @@ class CompressedRowSet {
   void CopyWords(size_t word_begin, size_t word_count, uint64_t* out) const;
 
   /// Converts containers to run encoding where runs are the smallest of the
-  /// three encodings (the standard Roaring space rule). Call after bulk
-  /// construction; point mutations undo it per container.
+  /// three encodings (the standard Roaring space rule). FromDense and
+  /// AppendChunk already apply the rule; this is for sets built by point
+  /// mutations, which undo it per container.
   void RunOptimize();
 
   /// Exact resident heap bytes (capacity-based — what the posting budget

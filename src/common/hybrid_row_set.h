@@ -70,6 +70,18 @@ class HybridRowSet {
 
   size_t First() const { return compressed_ ? comp_.First() : dense_.First(); }
 
+  /// Bulk streaming append: sets the ascending low-16 offsets
+  /// `lows[0, count)` of chunk `key`, all above every row already set, in
+  /// the current representation (CompressedRowSet::AppendChunk).
+  void AppendChunk(uint16_t key, const uint16_t* lows, size_t count) {
+    if (compressed_) {
+      comp_.AppendChunk(key, lows, count);
+      return;
+    }
+    size_t base = static_cast<size_t>(key) << 16;
+    for (size_t i = 0; i < count; ++i) dense_.Set(base + lows[i]);
+  }
+
   /// Grows the universe in the current representation (streaming append);
   /// new rows start cleared. Representation choice is untouched — callers
   /// re-Compact with the post-append cardinality when it matters.
@@ -223,6 +235,14 @@ class HybridRowSet {
     return compressed_ ? comp_.HeapBytes() : dense_.HeapBytes();
   }
 
+  /// True iff Compact(count) compresses a dense set of `count` rows over
+  /// `universe` rows — lets a builder pick the representation up front.
+  static bool CompressesAt(size_t count, size_t universe) {
+    return universe >= kMinCompressUniverse &&
+           static_cast<double>(count) / static_cast<double>(universe) <
+               kCompressDensity;
+  }
+
   /// Picks the representation by measured density. Deterministic: depends
   /// only on `count` and the universe, never on the current encoding, so
   /// lazy/eager and dense/compressed schedules stay aligned. Pass the
@@ -234,9 +254,8 @@ class HybridRowSet {
       return;
     }
     double density = static_cast<double>(count) / static_cast<double>(n);
-    if (!compressed_ && density < kCompressDensity) {
+    if (!compressed_ && CompressesAt(count, n)) {
       comp_ = CompressedRowSet::FromDense(dense_);
-      comp_.RunOptimize();
       dense_ = RowSet();
       compressed_ = true;
     } else if (compressed_ && density > kDensifyDensity) {
@@ -257,7 +276,6 @@ class HybridRowSet {
   void EnsureCompressed() {
     if (compressed_) return;
     comp_ = CompressedRowSet::FromDense(dense_);
-    comp_.RunOptimize();
     dense_ = RowSet();
     compressed_ = true;
   }

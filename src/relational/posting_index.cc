@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
-#include <unordered_set>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/thread_pool.h"
 
@@ -16,21 +16,161 @@ double NowMs() {
       .count();
 }
 
+constexpr size_t kChunkRows = CompressedRowSet::kChunkRows;
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+// Zero-filled uint32 table indexed by ValueId. calloc hands back untouched
+// zero pages, so a build pays for the pages its values land on, not for
+// the whole pool. Ids past the pool (raw ids written without interning)
+// grow the table.
+class ValueTable {
+ public:
+  explicit ValueTable(size_t size) : size_(std::max<size_t>(size, 1)) {
+    data_ = static_cast<uint32_t*>(std::calloc(size_, sizeof(uint32_t)));
+    FALCON_CHECK(data_ != nullptr);
+  }
+  ~ValueTable() { std::free(data_); }
+  ValueTable(const ValueTable&) = delete;
+  ValueTable& operator=(const ValueTable&) = delete;
+
+  uint32_t& operator[](ValueId v) {
+    if (v >= size_) Grow(static_cast<size_t>(v) + 1);
+    return data_[v];
+  }
+  /// Unchecked read-only view for ids already passed through operator[].
+  const uint32_t* data() const { return data_; }
+
+ private:
+  void Grow(size_t min_size) {
+    size_t size = std::max(min_size, 2 * size_);
+    auto* grown = static_cast<uint32_t*>(std::calloc(size, sizeof(uint32_t)));
+    FALCON_CHECK(grown != nullptr);
+    std::memcpy(grown, data_, size_ * sizeof(uint32_t));
+    std::free(data_);
+    data_ = grown;
+    size_ = size;
+  }
+
+  uint32_t* data_;
+  size_t size_;
+};
+
+// ValueId -> slot map over the cached values of one column: linear
+// probing in a power-of-two table at most half full, Fibonacci-hashed, so
+// a probe is one multiply and usually one load.
+class SlotMap {
+ public:
+  explicit SlotMap(size_t n) {
+    size_t bits = 1;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    cells_.assign(size_t{1} << bits, Cell{0, kNoSlot});
+    shift_ = 64 - static_cast<int>(bits);
+  }
+  void Insert(ValueId v, uint32_t slot) {
+    size_t i = Home(v);
+    while (cells_[i].slot != kNoSlot) i = (i + 1) & (cells_.size() - 1);
+    cells_[i] = Cell{v, slot};
+  }
+  uint32_t Find(ValueId v) const {
+    for (size_t i = Home(v);; i = (i + 1) & (cells_.size() - 1)) {
+      const Cell& c = cells_[i];
+      if (c.slot == kNoSlot || c.key == v) return c.slot;
+    }
+  }
+
+ private:
+  struct Cell {
+    ValueId key;
+    uint32_t slot;
+  };
+  size_t Home(ValueId v) const {
+    return static_cast<size_t>((uint64_t{v} * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  std::vector<Cell> cells_;
+  int shift_ = 63;
+};
+
+// Rows of one 64Ki-row chunk grouped by slot: group g's rows are the
+// ascending in-chunk offsets lows[g.begin, g.begin + g.count). Groups are
+// in first-row order.
+struct ChunkGroups {
+  struct Group {
+    uint32_t slot;
+    uint32_t begin;
+    uint32_t count;
+  };
+  std::vector<uint16_t> lows;
+  std::vector<Group> groups;
+};
+
+// The grouping kernel shared by column builds and appends: buckets rows
+// [begin, end) of `column` by slot_of(value) — a slot in [0, num_slots),
+// or kNoSlot to drop the row — with one local counting sort per 64Ki-row
+// chunk. Result k covers chunk begin/64Ki + k. Chunks run in parallel and
+// each result depends only on its chunk's rows, so the output is the same
+// at any thread count. Scratch is per shard: a count per slot and a slot
+// per chunk row.
+template <typename SlotOf>
+std::vector<ChunkGroups> GroupRows(const ValueId* column, size_t begin,
+                                   size_t end, size_t num_slots,
+                                   const SlotOf& slot_of, ThreadPool& tp) {
+  if (begin >= end) return {};
+  const size_t first_chunk = begin / kChunkRows;
+  std::vector<ChunkGroups> out((end - 1) / kChunkRows + 1 - first_chunk);
+  tp.ParallelFor(out.size(), 2, [&](size_t kb, size_t ke) {
+    std::vector<uint32_t> counts(num_slots, 0);
+    std::vector<uint32_t> slots(std::min(kChunkRows, end - begin));
+    std::vector<uint32_t> touched;
+    for (size_t k = kb; k < ke; ++k) {
+      const size_t base = (first_chunk + k) * kChunkRows;
+      const size_t r0 = std::max(begin, base);
+      const size_t r1 = std::min(end, base + kChunkRows);
+      touched.clear();
+      for (size_t r = r0; r < r1; ++r) {
+        uint32_t s = slot_of(column[r]);
+        slots[r - r0] = s;
+        if (s != kNoSlot && counts[s]++ == 0) touched.push_back(s);
+      }
+      ChunkGroups& cg = out[k];
+      cg.groups.reserve(touched.size());
+      uint32_t offset = 0;
+      for (uint32_t s : touched) {
+        cg.groups.push_back({s, offset, counts[s]});
+        offset += counts[s];
+        counts[s] = cg.groups.back().begin;  // Now the write cursor.
+      }
+      cg.lows.resize(offset);
+      for (size_t r = r0; r < r1; ++r) {
+        uint32_t s = slots[r - r0];
+        if (s != kNoSlot) {
+          cg.lows[counts[s]++] = static_cast<uint16_t>(r - base);
+        }
+      }
+      for (uint32_t s : touched) counts[s] = 0;
+    }
+  });
+  return out;
+}
+
 }  // namespace
 
 PostingIndex::Timer::Timer(double* sink) : sink_(sink), start_ms_(NowMs()) {}
 
 PostingIndex::Timer::~Timer() { *sink_ += NowMs() - start_ms_; }
 
-PostingIndex::Entry& PostingIndex::Insert(size_t col, ValueId v, RowSet rows) {
+HybridRowSet PostingIndex::ScanPosting(size_t col, ValueId v) const {
+  HybridRowSet rows(table_->ScanEquals(col, v));
+  // Density-adaptive: sparse postings compress, dense ones stay word
+  // bitmaps. Deterministic in the posting's cardinality only.
+  if (options_.compressed) rows.Compact(rows.Count());
+  return rows;
+}
+
+PostingIndex::Entry& PostingIndex::Insert(size_t col, ValueId v,
+                                          HybridRowSet rows) {
   lru_.push_front(Key{col, v});
   Entry& e = cache_[col][v];
-  e.rows = HybridRowSet(std::move(rows));
-  if (options_.compressed) {
-    // Density-adaptive: sparse postings compress, dense ones stay word
-    // bitmaps. Deterministic in the posting's cardinality only.
-    e.rows.Compact(e.rows.Count());
-  }
+  e.rows = std::move(rows);
   e.lru_it = lru_.begin();
   e.bytes = EntryBytes(e.rows);
   bytes_ += e.bytes;
@@ -92,10 +232,8 @@ const HybridRowSet& PostingIndex::SharedPostings(size_t col, ValueId v) {
   const uint64_t epoch_at_scan = shared_->epoch();
   Timer timer(&stats_.scan_ms);
   Timer base_timer(&stats_.base_scan_ms);
-  HybridRowSet rows(table_->ScanEquals(col, v));
-  if (options_.compressed) rows.Compact(rows.Count());
   SharedBaseCache::EntryPtr e = shared_->PublishPosting(
-      options_.compressed, col, v, std::move(rows), epoch_at_scan);
+      options_.compressed, col, v, ScanPosting(col, v), epoch_at_scan);
   return *views.emplace(v, std::move(e)).first->second;
 }
 
@@ -105,59 +243,23 @@ const HybridRowSet& PostingIndex::Postings(size_t col, ValueId v) {
   auto it = cache.find(v);
   if (it != cache.end()) {
     ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // Touch.
-    return it->second.rows;
-  }
-  ++stats_.misses;
-  Timer timer(&stats_.scan_ms);
-  return Insert(col, v, table_->ScanEquals(col, v)).rows;
-}
-
-void PostingIndex::Warm(size_t col, const std::vector<ValueId>& values) {
-  if (SharedEligible(col)) {
-    // Per-value shared probes; batch-scan only the union of misses.
-    auto& views = shared_views_[col];
-    std::vector<ValueId> needed;
-    for (ValueId v : values) {
-      if (views.count(v) != 0) {
-        ++stats_.shared_hits;
-        continue;
-      }
-      if (SharedBaseCache::EntryPtr e =
-              shared_->FindPosting(options_.compressed, col, v)) {
-        ++stats_.shared_hits;
-        views.emplace(v, std::move(e));
-        continue;
-      }
-      needed.push_back(v);
-    }
-    if (needed.empty()) return;
-    stats_.shared_misses += needed.size();
-    const uint64_t epoch_at_scan = shared_->epoch();
+  } else {
+    ++stats_.misses;
     Timer timer(&stats_.scan_ms);
-    Timer base_timer(&stats_.base_scan_ms);
-    std::vector<RowSet> bitmaps = table_->ScanEqualsMulti(col, needed);
-    for (size_t i = 0; i < needed.size(); ++i) {
-      HybridRowSet rows(std::move(bitmaps[i]));
-      if (options_.compressed) rows.Compact(rows.Count());
-      views.emplace(needed[i],
-                    shared_->PublishPosting(options_.compressed, col,
-                                            needed[i], std::move(rows),
-                                            epoch_at_scan));
+    if (options_.compressed && col_filled_[col] == 0) {
+      // First miss since the column was last invalidated: fill every value
+      // in one counting-sort pass, unless the column is key-like.
+      col_filled_[col] = 1;
+      BuildPostings(col, table_->num_rows() / kFillRowsPerValue,
+                    ThreadPool::Global());
+      it = cache.find(v);
     }
-    return;
+    // Key-like column, or a value absent from the fill (written or
+    // appended later, or evicted by Trim): scan just this value.
+    if (it == cache.end()) return Insert(col, v, ScanPosting(col, v)).rows;
   }
-  std::vector<ValueId> needed;
-  for (ValueId v : values) {
-    if (cache_[col].find(v) == cache_[col].end()) needed.push_back(v);
-  }
-  if (needed.empty()) return;
-  stats_.misses += needed.size();
-  Timer timer(&stats_.scan_ms);
-  std::vector<RowSet> bitmaps = table_->ScanEqualsMulti(col, needed);
-  for (size_t i = 0; i < needed.size(); ++i) {
-    Insert(col, needed[i], std::move(bitmaps[i]));
-  }
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // Touch.
+  return it->second.rows;
 }
 
 void PostingIndex::PrivatizeColumn(size_t col) {
@@ -193,55 +295,93 @@ size_t PostingIndex::SharedViewBytes() const {
 }
 
 void PostingIndex::BuildColumn(size_t col, ThreadPool* pool) {
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Global();
   // A full build replaces whatever the column held and reflects the
   // *current* table, which may already have diverged from the base
   // snapshot — the column leaves the shared tier.
   InvalidateColumn(col);
+  col_filled_[col] = 1;
   Timer timer(&stats_.scan_ms);
+  BuildPostings(col, SIZE_MAX,
+                pool != nullptr ? *pool : ThreadPool::Global());
+}
+
+bool PostingIndex::BuildPostings(size_t col, size_t max_values,
+                                 ThreadPool& tp) {
   const ValueId* column = table_->column(col).data();
   const size_t num_rows = table_->num_rows();
-  constexpr size_t kRowGrain = size_t{1} << 16;
 
-  // Pass 1: distinct-value discovery. Per-shard sets merge under a lock;
-  // the merged set is sorted by ValueId, so the insert order below — and
-  // with it the LRU order and byte accounting — never depends on shard
-  // boundaries or thread interleaving.
-  std::mutex mu;
-  std::unordered_set<ValueId> merged;
-  tp.ParallelFor(num_rows, kRowGrain, [&](size_t begin, size_t end) {
-    std::unordered_set<ValueId> seen;
-    for (size_t r = begin; r < end; ++r) seen.insert(column[r]);
-    std::lock_guard<std::mutex> lock(mu);
-    merged.insert(seen.begin(), seen.end());
-  });
-  std::vector<ValueId> values(merged.begin(), merged.end());
-  std::sort(values.begin(), values.end());
-  if (values.empty()) return;
-
-  // Pass 2: bitmap fill. Shards own disjoint 64-row-aligned row ranges, so
-  // two shards never touch the same word of any bitmap — each word has
-  // exactly one writer and the result is bit-identical to the serial loop.
-  // One pass over the column serves every value via a dense slot table.
-  ValueId max_value = values.back();
-  std::vector<uint32_t> slot(static_cast<size_t>(max_value) + 1, 0);
-  for (size_t i = 0; i < values.size(); ++i) {
-    slot[values[i]] = static_cast<uint32_t>(i);
+  // Histogram: a count per ValueId and the distinct values, serially in
+  // one pass that stops as soon as the column proves key-like.
+  ValueTable counts(table_->pool()->size());
+  std::vector<ValueId> values;
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (counts[column[r]]++ == 0) {
+      values.push_back(column[r]);
+      if (values.size() > max_values) return false;
+    }
   }
-  std::vector<RowSet> bitmaps;
-  bitmaps.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) bitmaps.emplace_back(num_rows);
-  size_t num_words = (num_rows + 63) / 64;
-  tp.ParallelFor(num_words, kRowGrain / 64, [&](size_t wb, size_t we) {
-    size_t r0 = wb * 64;
-    size_t r1 = std::min(we * 64, num_rows);
-    for (size_t r = r0; r < r1; ++r) {
-      bitmaps[slot[column[r]]].Set(r);
+  // Slots follow ascending ValueId, so the insert order below — and with
+  // it the LRU order and byte accounting — is fixed. Values already cached
+  // keep their entries: references handed out for them stay valid.
+  std::sort(values.begin(), values.end());
+  const ColumnCache& cache = cache_[col];
+  std::vector<uint32_t> value_rows(values.size());
+  std::vector<uint8_t> wanted(values.size());
+  for (size_t s = 0; s < values.size(); ++s) {
+    value_rows[s] = counts[values[s]];
+    counts[values[s]] = static_cast<uint32_t>(s);
+    wanted[s] = cache.count(values[s]) == 0;
+  }
+  const uint32_t* slot_of = counts.data();
+  std::vector<ChunkGroups> chunks = GroupRows(
+      column, 0, num_rows, values.size(),
+      [slot_of](ValueId v) { return slot_of[v]; }, tp);
+
+  // Transpose to per-value (chunk, group) lists in chunk order.
+  struct GroupRef {
+    uint32_t chunk;
+    uint32_t group;
+  };
+  std::vector<size_t> first(values.size() + 1, 0);
+  for (const ChunkGroups& cg : chunks) {
+    for (const ChunkGroups::Group& g : cg.groups) ++first[g.slot + 1];
+  }
+  for (size_t s = 0; s < values.size(); ++s) first[s + 1] += first[s];
+  std::vector<GroupRef> refs(first.back());
+  {
+    std::vector<size_t> cursor(first.begin(), first.end() - 1);
+    for (size_t k = 0; k < chunks.size(); ++k) {
+      for (size_t g = 0; g < chunks[k].groups.size(); ++g) {
+        refs[cursor[chunks[k].groups[g].slot]++] =
+            GroupRef{static_cast<uint32_t>(k), static_cast<uint32_t>(g)};
+      }
+    }
+  }
+
+  // Each value's posting is written by exactly one shard, straight into
+  // the representation Compact would choose for its row count.
+  std::vector<HybridRowSet> postings(values.size());
+  tp.ParallelFor(values.size(), 64, [&](size_t sb, size_t se) {
+    for (size_t s = sb; s < se; ++s) {
+      if (!wanted[s]) continue;
+      HybridRowSet rows =
+          options_.compressed &&
+                  HybridRowSet::CompressesAt(value_rows[s], num_rows)
+              ? HybridRowSet(CompressedRowSet(num_rows))
+              : HybridRowSet(num_rows);
+      for (size_t i = first[s]; i < first[s + 1]; ++i) {
+        const ChunkGroups& cg = chunks[refs[i].chunk];
+        const ChunkGroups::Group& g = cg.groups[refs[i].group];
+        rows.AppendChunk(static_cast<uint16_t>(refs[i].chunk),
+                         cg.lows.data() + g.begin, g.count);
+      }
+      postings[s] = std::move(rows);
     }
   });
-  for (size_t i = 0; i < values.size(); ++i) {
-    Insert(col, values[i], std::move(bitmaps[i]));
+  for (size_t s = 0; s < values.size(); ++s) {
+    if (wanted[s]) Insert(col, values[s], std::move(postings[s]));
   }
+  return true;
 }
 
 void PostingIndex::BuildAll(ThreadPool* pool) {
@@ -261,27 +401,33 @@ void PostingIndex::ApplyAppend(size_t old_rows) {
   if (shared_ != nullptr) {
     for (size_t c = 0; c < cache_.size(); ++c) PrivatizeColumn(c);
   }
+  // Per column: bucket the batch's rows by cached value once (the
+  // grouping kernel), then bulk-append each bucket into its entry.
+  ThreadPool& tp = ThreadPool::Global();
+  const size_t first_chunk = old_rows / kChunkRows;
   std::vector<Entry*> touched;
+  std::vector<Entry*> entries;
   for (size_t c = 0; c < cache_.size(); ++c) {
     ColumnCache& cache = cache_[c];
     if (cache.empty()) continue;
+    SlotMap slots(cache.size());
+    entries.clear();
     for (auto& [v, e] : cache) {
       e.rows.Resize(new_rows);
       Touch(&e, touched);
+      slots.Insert(v, static_cast<uint32_t>(entries.size()));
+      entries.push_back(&e);
     }
-    const ValueId* column = table_->column(c).data();
-    // Appended chunks frequently repeat values; memoize the last lookup.
-    ValueId memo_value = 0;
-    Entry* memo_entry = nullptr;
-    bool memo_valid = false;
-    for (size_t r = old_rows; r < new_rows; ++r) {
-      ValueId v = column[r];
-      if (!memo_valid || v != memo_value) {
-        memo_value = v;
-        memo_entry = FindEntry(cache, v);
-        memo_valid = true;
+    std::vector<ChunkGroups> chunks = GroupRows(
+        table_->column(c).data(), old_rows, new_rows, entries.size(),
+        [&slots](ValueId v) { return slots.Find(v); }, tp);
+    for (size_t k = 0; k < chunks.size(); ++k) {
+      const ChunkGroups& cg = chunks[k];
+      for (const ChunkGroups::Group& g : cg.groups) {
+        entries[g.slot]->rows.AppendChunk(
+            static_cast<uint16_t>(first_chunk + k), cg.lows.data() + g.begin,
+            g.count);
       }
-      if (memo_entry != nullptr) memo_entry->rows.Set(r);
     }
   }
   ReaccountTouched(touched);
@@ -313,6 +459,7 @@ void PostingIndex::InvalidateColumn(size_t col) {
     col_private_[col] = 1;
     shared_views_[col].clear();
   }
+  col_filled_[col] = 0;
   ColumnCache& cache = cache_[col];
   for (auto it = cache.begin(); it != cache.end(); ++it) {
     lru_.erase(it->second.lru_it);
@@ -327,6 +474,7 @@ void PostingIndex::InvalidateAll() {
     for (auto& views : shared_views_) views.clear();
   }
   for (auto& m : cache_) m.clear();
+  col_filled_.assign(col_filled_.size(), 0);
   lru_.clear();
   bytes_ = 0;
 }

@@ -1,7 +1,13 @@
 // PostingIndex: lazily built, cached posting bitmaps for (column = value)
-// predicates. Lattice construction scans each bound predicate once per
-// session; across a cleaning run the same constants recur (group values,
-// frequent categories), so caching them amortizes the scans.
+// predicates. Lattice construction probes each bound predicate; across a
+// cleaning run the same constants recur (group values, frequent
+// categories), so caching them amortizes the builds.
+//
+// Miss path (private tier, compressed mode): the first miss on a column
+// fills every value of it with one counting-sort build (BuildColumn's
+// kernel), unless the column is key-like (more than
+// num_rows / kFillRowsPerValue distinct values); key-like columns, values
+// absent after a fill, and dense mode scan one value per miss.
 //
 // Two maintenance modes:
 //  - delta (default): callers that know exactly which rows changed and the
@@ -115,7 +121,10 @@ class PostingIndex {
  public:
   /// `table` must outlive the index.
   explicit PostingIndex(const Table* table, PostingIndexOptions options = {})
-      : table_(table), options_(options), cache_(table->num_cols()) {
+      : table_(table),
+        options_(options),
+        cache_(table->num_cols()),
+        col_filled_(table->num_cols(), 0) {
     if (options_.shared != nullptr && options_.base_snapshot_id != 0 &&
         options_.shared->snapshot_id() == options_.base_snapshot_id &&
         options_.shared->num_cols() == table->num_cols()) {
@@ -130,24 +139,32 @@ class PostingIndex {
 
   bool delta_maintenance() const { return options_.delta_maintenance; }
 
-  /// Rows where `col` equals `v`. First call scans the column; later calls
-  /// are cache hits until the entry is invalidated or evicted. The returned
-  /// reference stays valid until InvalidateColumn/InvalidateAll/Trim.
+  /// A column fills on its first private miss only if it holds at most
+  /// num_rows / kFillRowsPerValue distinct values; denser, key-like columns
+  /// (one value per row) stay on single-value scans.
+  static constexpr size_t kFillRowsPerValue = 64;
+
+  /// Rows where `col` equals `v`. The first private-tier miss on a column
+  /// (in compressed mode) fills every value of it in one counting-sort
+  /// pass — BuildColumn, keeping entries already cached — unless the
+  /// column is key-like; later misses, and misses on key-like columns,
+  /// scan just `v`. Hits last until the entry is invalidated or evicted.
+  /// The returned reference stays valid until
+  /// InvalidateColumn/InvalidateAll/Trim.
   const HybridRowSet& Postings(size_t col, ValueId v);
 
-  /// Batch fill: caches postings for every value of `col` not yet cached in
-  /// a single pass over the column (Table::ScanEqualsMulti).
-  void Warm(size_t col, const std::vector<ValueId>& values);
-
   /// Full deterministic build of `col`: caches a posting for every distinct
-  /// value present (including NULL), sharded across `pool` (the global pool
-  /// when null). Bit-identical to the serial build at any thread count —
-  /// shards own disjoint 64-row-aligned ranges, so each bitmap word has
-  /// exactly one writer, and entries are inserted in ascending ValueId
-  /// order regardless of which shard discovered them. Existing entries of
-  /// the column are dropped first; the column leaves the shared tier.
-  /// Intended for bounded-domain (lattice-relevant) columns — a unique
-  /// column would materialize one bitmap per row.
+  /// value present (including NULL) by a counting sort — one histogram
+  /// pass, then per 64Ki-row chunk a local counting sort whose buckets are
+  /// written straight into each value's containers (or into a dense
+  /// bitmap where Compact would keep one). Transient memory is per-chunk
+  /// scratch plus one table indexed by ValueId. Chunks, then values, are
+  /// sharded across `pool` (the global pool when null); every bitmap is
+  /// written by one shard and entries are inserted in ascending ValueId
+  /// order, so the result is bit-identical at any thread count. Existing
+  /// entries of the column are dropped first; the column leaves the shared
+  /// tier. Intended for bounded-domain (lattice-relevant) columns — a
+  /// unique column would materialize one bitmap per row.
   void BuildColumn(size_t col, ThreadPool* pool = nullptr);
 
   /// BuildColumn over every column of the table.
@@ -155,11 +172,14 @@ class PostingIndex {
 
   /// Streaming-append maintenance: the table grew from `old_rows` to its
   /// current num_rows() by appending rows (no existing cell changed).
-  /// Every cached bitmap is resized to the new universe and the new rows'
-  /// bits are folded into their values' postings — O(batch + entries), not
-  /// O(table). Appended rows diverge from the base snapshot, so every
-  /// column leaves the shared tier (pinned shared entries are promoted
-  /// first and then patched like private ones). Exact in both maintenance
+  /// Every cached bitmap is resized to the new universe; per column, the
+  /// new rows are bucketed by cached value with BuildColumn's grouping
+  /// kernel and each bucket is bulk-appended into its posting —
+  /// O(batch + entries), not O(table). Values the batch brings that are
+  /// not cached stay uncached (a later probe scans them). Appended rows
+  /// diverge from the base snapshot, so every column leaves the shared
+  /// tier (pinned shared entries are promoted first and then patched like
+  /// private ones). Exact in both maintenance
   /// modes: growth is a pure extension, never an in-place rewrite.
   void ApplyAppend(size_t old_rows);
 
@@ -278,7 +298,13 @@ class PostingIndex {
   static size_t EntryBytes(const HybridRowSet& rows) {
     return rows.HeapBytes() + 64;
   }
-  Entry& Insert(size_t col, ValueId v, RowSet rows);
+  Entry& Insert(size_t col, ValueId v, HybridRowSet rows);
+  /// ScanEquals for one value, in the representation Compact picks.
+  HybridRowSet ScanPosting(size_t col, ValueId v) const;
+  /// The counting-sort build behind BuildColumn and the miss-path fill:
+  /// caches every value of `col` not yet cached. Returns false, caching
+  /// nothing, once the histogram finds more than `max_values` values.
+  bool BuildPostings(size_t col, size_t max_values, ThreadPool& tp);
   void EraseEntry(size_t col, ColumnCache::iterator it);
 
   /// True while `col` may be served from the shared base tier (attached
@@ -296,6 +322,9 @@ class PostingIndex {
   const Table* table_;
   PostingIndexOptions options_;
   std::vector<ColumnCache> cache_;
+  /// 1 once the column was filled (or found key-like) since it was last
+  /// invalidated: later private misses scan single values.
+  std::vector<uint8_t> col_filled_;
   std::list<Key> lru_;  // Front = most recently used.
   size_t bytes_ = 0;
   PostingIndexStats stats_;

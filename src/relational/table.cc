@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -16,6 +16,17 @@ namespace {
 // ~256KB of reads, cheaper than waking the pool.
 constexpr size_t kParallelRowGrain = size_t{1} << 16;
 constexpr size_t kParallelWordGrain = kParallelRowGrain / 64;
+
+// Sets bit v of `bits` for each value v in column[begin, end), growing the
+// bitset for ids past its end (raw ids written without interning).
+void MarkValues(const ValueId* column, size_t begin, size_t end,
+                std::vector<uint64_t>* bits) {
+  for (size_t r = begin; r < end; ++r) {
+    size_t w = column[r] >> 6;
+    if (w >= bits->size()) bits->resize(w + 1, 0);
+    (*bits)[w] |= uint64_t{1} << (column[r] & 63);
+  }
+}
 
 }  // namespace
 
@@ -29,8 +40,14 @@ Table::Table(std::string name, Schema schema, std::shared_ptr<ValuePool> pool)
   }
 }
 
-void Table::DetachColumn(size_t col) {
-  columns_[col] = std::make_shared<Column>(*columns_[col]);
+void Table::DetachColumn(size_t col, size_t extra_rows) {
+  // An append gets the geometric headroom a growing vector would take, so
+  // later batches append in place as they did before the detach.
+  const size_t rows = columns_[col]->size();
+  auto copy = std::make_shared<Column>();
+  copy->reserve(extra_rows == 0 ? rows : std::max(rows + extra_rows, 2 * rows));
+  copy->assign(columns_[col]->begin(), columns_[col]->end());
+  columns_[col] = std::move(copy);
 }
 
 void Table::AppendRow(const std::vector<std::string>& values) {
@@ -63,7 +80,7 @@ size_t Table::AppendBatch(const std::vector<std::vector<ValueId>>& chunk) {
   size_t batch = schema_.arity() == 0 ? 0 : chunk[0].size();
   for (size_t c = 0; c < chunk.size(); ++c) {
     FALCON_CHECK(chunk[c].size() == batch);
-    Column& col = MutableColumn(c);
+    Column& col = MutableColumn(c, batch);
     col.insert(col.end(), chunk[c].begin(), chunk[c].end());
   }
   num_rows_ += batch;
@@ -142,28 +159,35 @@ RowSet Table::ScanConjunction(
 }
 
 size_t Table::DistinctCount(size_t col) const {
-  const std::vector<ValueId>& column = *columns_[col];
+  const ValueId* column = columns_[col]->data();
+  // One bit per pooled ValueId (the pool always holds NULL); the count is
+  // the popcount, NULL excluded.
+  const size_t words = (pool_->size() + 63) / 64;
+  std::vector<uint64_t> seen(words, 0);
   ThreadPool& pool = ThreadPool::Global();
   if (pool.num_threads() == 0 || num_rows_ < kParallelRowGrain) {
-    std::unordered_set<ValueId> seen;
-    for (ValueId v : column) {
-      if (v != kNullValueId) seen.insert(v);
-    }
-    return seen.size();
+    MarkValues(column, 0, num_rows_, &seen);
+  } else {
+    // Per-shard bitsets OR-ed under a lock; the union does not depend on
+    // shard boundaries, so the result matches the serial loop exactly.
+    std::mutex mu;
+    pool.ParallelFor(num_rows_, kParallelRowGrain,
+                     [&](size_t begin, size_t end) {
+                       std::vector<uint64_t> local(words, 0);
+                       MarkValues(column, begin, end, &local);
+                       std::lock_guard<std::mutex> lock(mu);
+                       if (local.size() > seen.size()) {
+                         seen.resize(local.size(), 0);
+                       }
+                       for (size_t i = 0; i < local.size(); ++i) {
+                         seen[i] |= local[i];
+                       }
+                     });
   }
-  // Per-shard sets unioned under a lock; the union's size is independent of
-  // shard boundaries, so the result matches the serial loop exactly.
-  std::mutex mu;
-  std::unordered_set<ValueId> merged;
-  pool.ParallelFor(num_rows_, kParallelRowGrain, [&](size_t begin, size_t end) {
-    std::unordered_set<ValueId> seen;
-    for (size_t r = begin; r < end; ++r) {
-      if (column[r] != kNullValueId) seen.insert(column[r]);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    merged.insert(seen.begin(), seen.end());
-  });
-  return merged.size();
+  seen[kNullValueId >> 6] &= ~(uint64_t{1} << (kNullValueId & 63));
+  size_t distinct = 0;
+  for (uint64_t w : seen) distinct += static_cast<size_t>(std::popcount(w));
+  return distinct;
 }
 
 Table Table::Clone() const {

@@ -127,12 +127,14 @@ class Table {
   /// Returns writable storage for `col`, detaching a private copy first if
   /// the column is shared with another snapshot. use_count()==1 proves sole
   /// ownership: any thread that could still read through another reference
-  /// must itself hold one, which would keep the count above one.
-  Column& MutableColumn(size_t col) {
-    if (columns_[col].use_count() != 1) DetachColumn(col);
+  /// must itself hold one, which would keep the count above one. A detached
+  /// copy has room for `extra_rows` more, so an append that detaches copies
+  /// the column once instead of copying it and then growing it.
+  Column& MutableColumn(size_t col, size_t extra_rows = 0) {
+    if (columns_[col].use_count() != 1) DetachColumn(col, extra_rows);
     return *columns_[col];
   }
-  void DetachColumn(size_t col);
+  void DetachColumn(size_t col, size_t extra_rows);
 
   std::string name_;
   Schema schema_;

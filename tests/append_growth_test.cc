@@ -13,6 +13,8 @@
 #include "common/row_set.h"
 #include "common/thread_pool.h"
 #include "core/lattice.h"
+#include "core/session.h"
+#include "core/session_journal.h"
 #include "core/violation_detector.h"
 #include "datagen/spec.h"
 #include "relational/posting_index.h"
@@ -237,6 +239,114 @@ TEST(PostingAppendTest, ApplyAppendMatchesRebuildOnGrownTable) {
     EXPECT_EQ(index.Postings(1, st.table.cell(0, 1)).universe_size(),
               st.table.num_rows());
   }
+}
+
+// Past two 64Ki-row chunks plus a partial one, so fills compress and the
+// appends below land both in the partial tail chunk and in fresh chunks.
+TEST(PostingAppendTest, BulkAppendOverLargeFilledColumnsStaysExact) {
+  constexpr size_t kRows = 2 * 65536 + 777;
+  for (bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed" : "dense");
+    SpecTable st = MakeSpecTable(kRows);
+    PostingIndexOptions opts;
+    opts.compressed = compressed;
+    PostingIndex index(&st.table, opts);
+    for (size_t c : kBounded) index.BuildColumn(c);
+    for (size_t batch_rows : {size_t{40000}, size_t{25000}, size_t{3}}) {
+      size_t old_rows = st.table.num_rows();
+      auto chunk = st.gen.Chunk(old_rows, batch_rows);
+      ASSERT_TRUE(chunk.ok());
+      st.table.AppendBatch(*chunk);
+      index.ApplyAppend(old_rows);
+    }
+    for (size_t c : kBounded) {
+      std::set<ValueId> values(st.table.column(c).begin(),
+                               st.table.column(c).end());
+      for (ValueId v : values) {
+        ASSERT_EQ(index.Postings(c, v), st.table.ScanEquals(c, v))
+            << "col " << c << " value " << v;
+      }
+    }
+    // Appends only extend: no probe above needed a scan.
+    EXPECT_EQ(index.misses(), 0u);
+    PostingIndex rebuilt(&st.table, opts);
+    ThreadPool tp(3);
+    for (size_t c : kBounded) rebuilt.BuildColumn(c, &tp);
+    EXPECT_EQ(PostingDigest(index, st.table),
+              PostingDigest(rebuilt, st.table));
+  }
+}
+
+// A session over a table past the fill threshold interacts exactly as one
+// without the posting index: fills, scans and bulk appends are invisible.
+TEST(PostingAppendTest, SessionWithIndexMatchesSessionWithout) {
+  constexpr char kSessionSpec[] = R"({
+    "name": "s", "seed": 31, "rows": 72000,
+    "fields": [
+      {"name": "id",    "dist": "unique",  "prefix": "R"},
+      {"name": "city",  "dist": "zipf",    "domain": 36, "skew": 1.0,
+       "prefix": "C"},
+      {"name": "state", "dist": "derived", "parents": ["city"],
+       "domain": 6, "prefix": "S"},
+      {"name": "zip",   "dist": "uniform", "domain": 36, "prefix": "Z"}
+    ],
+    "errors": {
+      "rules": [{"lhs": ["city"], "rhs": "state", "patterns": 3,
+                 "errors_per_pattern": 5}],
+      "random_errors": 6, "seed": 4
+    },
+    "append": {"batches": 2, "rows_per_batch": 9000, "error_rate": 0.0005}
+  })";
+  auto spec = GeneratorSpec::Parse(kSessionSpec);
+  ASSERT_TRUE(spec.ok());
+  auto sw = MakeSpecWorkload(*spec);
+  ASSERT_TRUE(sw.ok()) << sw.status().message();
+  std::vector<SpecAppendChunk> chunks;
+  for (size_t b = 0; b < spec->append.batches; ++b) {
+    auto chunk = sw->generator.AppendBatchChunk(
+        spec->rows + b * spec->append.rows_per_batch,
+        spec->append.rows_per_batch);
+    ASSERT_TRUE(chunk.ok());
+    chunks.push_back(std::move(chunk).value());
+  }
+  struct Leg {
+    SessionMetrics metrics;
+    uint32_t crc = 0;
+  };
+  auto run = [&](bool use_index) {
+    SessionOptions options;
+    options.budget = 3;
+    options.use_posting_index = use_index;
+    Table clean = sw->workload.clean.Clone();
+    Table working = sw->workload.dirty.Clone();
+    auto algorithm = MakeSearchAlgorithm(SearchKind::kCoDive);
+    CleaningSession session(&clean, &working, algorithm.get(), options);
+    Leg leg;
+    auto warm = session.RunSteps(3);
+    EXPECT_TRUE(warm.ok()) << warm.status().message();
+    for (const SpecAppendChunk& chunk : chunks) {
+      clean.AppendBatch(chunk.clean);
+      EXPECT_TRUE(session.AppendBatch(chunk.dirty).ok());
+    }
+    auto done = session.RunSteps(3);
+    EXPECT_TRUE(done.ok()) << done.status().message();
+    if (done.ok()) leg.metrics = *done;
+    leg.crc = TableContentsCrc(working);
+    return leg;
+  };
+  Leg with = run(true);
+  Leg without = run(false);
+  EXPECT_GT(with.metrics.posting_hits, 0u);
+  EXPECT_GT(with.metrics.user_updates, 0u);
+  EXPECT_EQ(with.crc, without.crc);
+  EXPECT_EQ(with.metrics.user_updates, without.metrics.user_updates);
+  EXPECT_EQ(with.metrics.user_answers, without.metrics.user_answers);
+  EXPECT_EQ(with.metrics.cells_repaired, without.metrics.cells_repaired);
+  EXPECT_EQ(with.metrics.queries_applied, without.metrics.queries_applied);
+  EXPECT_EQ(with.metrics.initial_errors, without.metrics.initial_errors);
+  EXPECT_EQ(with.metrics.rows_appended, without.metrics.rows_appended);
+  EXPECT_EQ(with.metrics.lattices_built, without.metrics.lattices_built);
+  EXPECT_EQ(with.metrics.converged, without.metrics.converged);
 }
 
 // ---------------------------------------------------------------------------

@@ -60,6 +60,90 @@ TEST(CompressedRowSetTest, RoundTripAndHashAcrossShapes) {
   }
 }
 
+void ExpectSameEncoding(const CompressedRowSet& a, const CompressedRowSet& b) {
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.HeapBytes(), b.HeapBytes());
+  auto sa = a.container_stats();
+  auto sb = b.container_stats();
+  EXPECT_EQ(sa.arrays, sb.arrays);
+  EXPECT_EQ(sa.bitmaps, sb.bitmaps);
+  EXPECT_EQ(sa.runs, sb.runs);
+}
+
+// FromDense already applies the run rule, so RunOptimize finds nothing to
+// change on its output.
+TEST(CompressedRowSetTest, FromDenseIsAlreadyRunOptimized) {
+  Rng rng(41);
+  for (size_t universe : {size_t{65536}, size_t{65537}, size_t{200000}}) {
+    for (double density : {0.0005, 0.02, 0.3, 0.95}) {
+      for (int runs : {0, 4, 40}) {
+        RowSet dense = RandomDense(rng, universe, density, runs);
+        // Two builds rather than a copy: HeapBytes counts capacity.
+        CompressedRowSet optimized = CompressedRowSet::FromDense(dense);
+        optimized.RunOptimize();
+        ExpectSameEncoding(CompressedRowSet::FromDense(dense), optimized);
+      }
+    }
+  }
+  // Purely run-shaped: blocks of consecutive rows.
+  RowSet blocks(3 * 65536 + 100);
+  for (size_t r = 0; r < blocks.universe_size(); ++r) {
+    if ((r / 700) % 3 == 0) blocks.Set(r);
+  }
+  CompressedRowSet optimized = CompressedRowSet::FromDense(blocks);
+  ASSERT_GT(optimized.container_stats().runs, 0u);
+  optimized.RunOptimize();
+  ExpectSameEncoding(CompressedRowSet::FromDense(blocks), optimized);
+}
+
+// Building chunk by chunk from sorted offsets yields exactly FromDense's
+// containers, and appending into the tail chunk matches point Sets.
+TEST(CompressedRowSetTest, AppendChunkMatchesFromDense) {
+  Rng rng(43);
+  for (size_t universe : {size_t{65536}, size_t{2 * 65536 + 999}}) {
+    for (double density : {0.0005, 0.02, 0.08, 0.3, 0.95}) {
+      for (int runs : {0, 6}) {
+        RowSet dense = RandomDense(rng, universe, density, runs);
+        CompressedRowSet built(universe);
+        std::vector<uint16_t> lows;
+        size_t chunk = 0;
+        auto flush = [&] {
+          if (!lows.empty()) {
+            built.AppendChunk(static_cast<uint16_t>(chunk), lows.data(),
+                              lows.size());
+          }
+          lows.clear();
+        };
+        dense.ForEach([&](size_t r) {
+          if (r >> 16 != chunk) {
+            flush();
+            chunk = r >> 16;
+          }
+          lows.push_back(static_cast<uint16_t>(r & 0xFFFF));
+        });
+        flush();
+        ExpectSameEncoding(built, CompressedRowSet::FromDense(dense));
+      }
+    }
+  }
+  // Tail-chunk append: same bits as Set, arrays promoted past 4096.
+  CompressedRowSet grown =
+      CompressedRowSet::FromDense(RandomDense(rng, 70000, 0.01, 1));
+  CompressedRowSet pointwise = grown;
+  grown.Resize(140000);
+  pointwise.Resize(140000);
+  std::vector<uint16_t> tail;
+  for (uint32_t low = 4464; low < 65536; low += 7) tail.push_back(low);
+  grown.AppendChunk(1, tail.data(), tail.size());
+  for (uint16_t low : tail) pointwise.Set(65536 + low);
+  ExpectSame(pointwise.ToDense(), grown);
+  auto gs = grown.container_stats();
+  auto ps = pointwise.container_stats();
+  EXPECT_EQ(gs.arrays, ps.arrays);
+  EXPECT_EQ(gs.bitmaps, ps.bitmaps);
+  EXPECT_EQ(gs.runs, ps.runs);
+}
+
 TEST(CompressedRowSetTest, FullAndEmptySets) {
   for (size_t universe : {size_t{64}, size_t{65537}, size_t{131072}}) {
     CompressedRowSet full(universe, true);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/lattice.h"
 #include "datagen/datasets.h"
 
@@ -244,8 +246,10 @@ TEST(PostingIndexTest, CompressedPostingsMatchDenseUnderRandomWrites) {
     table.set_cell(row, col, new_value);
   }
 
+  // Every value: the compressed index filled whole columns on its first
+  // misses, so sweeping all of them keeps the two entry sets equal.
   for (size_t c = 0; c < table.num_cols(); ++c) {
-    for (size_t a = 0; a < alphabet.size(); a += 5) {
+    for (size_t a = 0; a < alphabet.size(); ++a) {
       const HybridRowSet& d = dense.Postings(c, alphabet[a]);
       const HybridRowSet& k = comp.Postings(c, alphabet[a]);
       EXPECT_EQ(d, k) << "col " << c << " value " << a;
@@ -298,6 +302,194 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
               index.StorageStats().resident_bytes + 64 * index.cached_entries())
         << "compressed=" << compressed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Column fills: the counting-sort build behind BuildColumn and the first
+// private miss, on tables past two 64Ki-row chunks plus a partial one.
+
+constexpr size_t kFillRows = 2 * 65536 + 4321;
+
+// Column shapes: 0 = four values (dense postings); 1 = 300 uniform values
+// (array containers); 2 = one value on ~9% of chunk 0's rows, which is
+// sparse overall (a bitmap container) among 200 uniform values; 3 = blocks
+// of 1000 consecutive rows (run containers); 4 = a key (one value per row).
+Table MakeFillTable() {
+  Rng rng(2024);
+  Table t("fill", Schema({"dense", "array", "bitmap", "runs", "key"}));
+  std::vector<std::string> row(5);
+  for (size_t r = 0; r < kFillRows; ++r) {
+    row[0] = "d" + std::to_string(rng.NextUint(4));
+    row[1] = "a" + std::to_string(rng.NextUint(300));
+    row[2] = r < 65536 && rng.NextUint(11) == 0
+                 ? std::string("hot")
+                 : "b" + std::to_string(rng.NextUint(200));
+    row[3] = "r" + std::to_string(r / 1000);
+    row[4] = "k" + std::to_string(r);
+    t.AppendRow(row);
+  }
+  return t;
+}
+
+// Asserts `got` is the entry a single-value miss builds: ScanEquals, then
+// Compact — same bits, representation, containers and heap bytes.
+void ExpectScanCompactEntry(const Table& t, size_t col, ValueId v,
+                            const HybridRowSet& got) {
+  HybridRowSet want(t.ScanEquals(col, v));
+  want.Compact(want.Count());
+  ASSERT_EQ(got, want) << "col " << col << " value " << v;
+  ASSERT_EQ(got.compressed(), want.compressed()) << "col " << col;
+  ASSERT_EQ(got.HeapBytes(), want.HeapBytes()) << "col " << col;
+  if (got.compressed()) {
+    auto g = got.comp().container_stats();
+    auto w = want.comp().container_stats();
+    ASSERT_EQ(g.arrays, w.arrays) << "col " << col;
+    ASSERT_EQ(g.bitmaps, w.bitmaps) << "col " << col;
+    ASSERT_EQ(g.runs, w.runs) << "col " << col;
+  }
+}
+
+std::set<ValueId> ValuesOf(const Table& t, size_t col) {
+  return std::set<ValueId>(t.column(col).begin(), t.column(col).end());
+}
+
+TEST(PostingFillTest, BuildColumnMatchesScanCompactAtEveryThreadCount) {
+  Table t = MakeFillTable();
+  PostingIndexOptions opts;
+  opts.compressed = true;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool tp(threads);
+    PostingIndex index(&t, opts);
+    for (size_t c = 0; c < 4; ++c) index.BuildColumn(c, &tp);
+    size_t dense = 0;
+    CompressedRowSet::ContainerStats seen;
+    for (size_t c = 0; c < 4; ++c) {
+      for (ValueId v : ValuesOf(t, c)) {
+        const HybridRowSet& got = index.Postings(c, v);
+        ExpectScanCompactEntry(t, c, v, got);
+        if (!got.compressed()) {
+          ++dense;
+          continue;
+        }
+        auto cs = got.comp().container_stats();
+        seen.arrays += cs.arrays;
+        seen.bitmaps += cs.bitmaps;
+        seen.runs += cs.runs;
+      }
+    }
+    EXPECT_EQ(index.misses(), 0u);
+    // Every representation was exercised.
+    EXPECT_GE(dense, 4u);
+    EXPECT_GT(seen.arrays, 0u);
+    EXPECT_GT(seen.bitmaps, 0u);
+    EXPECT_GT(seen.runs, 0u);
+  }
+}
+
+TEST(PostingFillTest, FirstMissFillsColumnWithScanCompactEntries) {
+  Table t = MakeFillTable();
+  PostingIndexOptions opts;
+  opts.compressed = true;
+  PostingIndex index(&t, opts);
+  for (size_t c = 0; c < 4; ++c) {
+    std::set<ValueId> values = ValuesOf(t, c);
+    size_t entries_before = index.cached_entries();
+    size_t misses_before = index.misses();
+    index.Postings(c, *values.begin());
+    EXPECT_EQ(index.misses(), misses_before + 1);
+    EXPECT_EQ(index.cached_entries(), entries_before + values.size());
+    for (ValueId v : values) {
+      ExpectScanCompactEntry(t, c, v, index.Postings(c, v));
+    }
+    EXPECT_EQ(index.misses(), misses_before + 1) << "col " << c;
+  }
+}
+
+TEST(PostingFillTest, KeyLikeColumnStaysOnScanPath) {
+  Table t = MakeFillTable();
+  PostingIndexOptions opts;
+  opts.compressed = true;
+  PostingIndex index(&t, opts);
+  ValueId k7 = t.Lookup("k7");
+  ValueId k9 = t.Lookup("k9");
+  EXPECT_EQ(index.Postings(4, k7), t.ScanEquals(4, k7));
+  EXPECT_EQ(index.cached_entries(), 1u);
+  EXPECT_EQ(index.Postings(4, k9), t.ScanEquals(4, k9));
+  EXPECT_EQ(index.cached_entries(), 2u);
+  EXPECT_EQ(index.misses(), 2u);
+}
+
+TEST(PostingFillTest, FilledColumnStaysExactAcrossDeltaAppendAndTrim) {
+  Table t = MakeFillTable();
+  PostingIndexOptions opts;
+  opts.compressed = true;
+  PostingIndex index(&t, opts);
+  const size_t col = 1;
+  ValueId a0 = t.Lookup("a0");
+  index.Postings(col, a0);  // Fills the column.
+  auto expect_all_exact = [&](const char* step) {
+    for (ValueId v : ValuesOf(t, col)) {
+      ASSERT_EQ(index.Postings(col, v), t.ScanEquals(col, v)) << step;
+    }
+  };
+
+  // ApplyDelta writing a value the column never held.
+  ValueId fresh = t.Intern("a-new");
+  RowSet rows = t.ScanEquals(col, a0);
+  index.ApplyDelta(col, rows, [&](size_t r) { return t.cell(r, col); },
+                   fresh);
+  rows.ForEach([&](size_t r) { t.set_cell(r, col, fresh); });
+  size_t misses = index.misses();
+  EXPECT_EQ(index.Postings(col, fresh), t.ScanEquals(col, fresh));
+  EXPECT_EQ(index.misses(), misses + 1);  // Absent from the fill: scanned.
+  expect_all_exact("delta");
+
+  // ApplyAppend bringing a new value, across the partial last chunk.
+  size_t old_rows = t.num_rows();
+  std::vector<std::string> row = {"d0", "a-appended", "b0", "r0", "k-app"};
+  for (size_t i = 0; i < 70000; ++i) {
+    row[1] = i % 3 == 0 ? "a-appended" : "a" + std::to_string(i % 300);
+    row[4] = "k-app" + std::to_string(i);
+    t.AppendRow(row);
+  }
+  index.ApplyAppend(old_rows);
+  misses = index.misses();
+  ValueId appended = t.Lookup("a-appended");
+  EXPECT_EQ(index.Postings(col, appended), t.ScanEquals(col, appended));
+  EXPECT_EQ(index.misses(), misses + 1);
+  expect_all_exact("append");
+
+  // Trim eviction under a budget: evicted values scan again, exactly.
+  PostingIndexOptions tight = opts;
+  tight.byte_budget = 64 * 1024;
+  PostingIndex trimmed(&t, tight);
+  trimmed.Postings(col, a0);
+  size_t filled = trimmed.cached_entries();
+  trimmed.Trim();
+  ASSERT_LT(trimmed.cached_entries(), filled);
+  ASSERT_GT(trimmed.stats().evictions, 0u);
+  for (ValueId v : ValuesOf(t, col)) {
+    ASSERT_EQ(trimmed.Postings(col, v), t.ScanEquals(col, v)) << "trim";
+  }
+}
+
+TEST(PostingFillTest, InvalidateResetsColumnToUnfilled) {
+  Table t = MakeFillTable();
+  PostingIndexOptions opts;
+  opts.compressed = true;
+  PostingIndex index(&t, opts);
+  ValueId d0 = t.Lookup("d0");
+  index.Postings(0, d0);
+  EXPECT_EQ(index.cached_entries(), 4u);
+  index.InvalidateColumn(0);
+  EXPECT_EQ(index.cached_entries(), 0u);
+  index.Postings(0, d0);  // Fills again.
+  EXPECT_EQ(index.cached_entries(), 4u);
+  index.InvalidateAll();
+  index.Postings(0, d0);
+  EXPECT_EQ(index.cached_entries(), 4u);
+  EXPECT_EQ(index.misses(), 3u);
 }
 
 RowSet BitsOf(size_t universe, std::initializer_list<size_t> rows) {

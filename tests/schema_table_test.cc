@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "relational/schema.h"
 #include "relational/table.h"
 
@@ -101,6 +106,36 @@ TEST(TableTest, DistinctCountIgnoresNull) {
   t.AppendRow({"x"});
   t.AppendRow({""});  // NULL.
   EXPECT_EQ(t.DistinctCount(0), 2u);
+}
+
+// The bitset count agrees with a std::set count on random columns holding
+// NULLs and the pool's highest id, on the serial path (small tables) and
+// the sharded one (past 64Ki rows, when the global pool has threads).
+TEST(TableTest, DistinctCountMatchesSetCount) {
+  Rng rng(99);
+  for (size_t rows : {size_t{5}, size_t{1000}, size_t{3 * 65536 + 17}}) {
+    for (size_t alphabet : {size_t{3}, size_t{700}, size_t{50000}}) {
+      Table t("T", Schema({"A", "B"}));
+      std::vector<ValueId> ids;
+      for (size_t a = 0; a < alphabet; ++a) {
+        ids.push_back(t.Intern("v" + std::to_string(a)));
+      }
+      ValueId highest = t.Intern("highest");
+      ASSERT_EQ(static_cast<size_t>(highest) + 1, t.pool()->size());
+      for (size_t r = 0; r < rows; ++r) {
+        ValueId a = ids[rng.NextUint(ids.size())];
+        if (rng.NextUint(10) == 0) a = kNullValueId;
+        ValueId b = r % 2 == 0 ? highest : ids[rng.NextUint(ids.size())];
+        t.AppendRowIds({a, b});
+      }
+      for (size_t c = 0; c < 2; ++c) {
+        std::set<ValueId> want(t.column(c).begin(), t.column(c).end());
+        want.erase(kNullValueId);
+        EXPECT_EQ(t.DistinctCount(c), want.size())
+            << rows << " rows, alphabet " << alphabet << ", col " << c;
+      }
+    }
+  }
 }
 
 TEST(TableTest, CloneSharesPoolButNotCells) {

@@ -46,6 +46,20 @@ JsonValue ReadResponse(LineChannel& channel) {
   return parsed.ok() ? *parsed : JsonValue::Object();
 }
 
+// A worker posts a response before it counts the request finished, so a
+// client can read the answer while the server still reports the request
+// in flight. Waiting for idle after a reply makes the next inflight count
+// belong to the next request.
+void WaitIdle(const CleaningServer& server) {
+  for (int i = 0; i < 50000 && (server.inflight_requests() != 0 ||
+                                server.queued_requests() != 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(server.inflight_requests(), 0u);
+  ASSERT_EQ(server.queued_requests(), 0u);
+}
+
 TEST(ServiceTransportTest, PartialLineAcrossManyReadsIsReassembled) {
   ServerOptions options;
   options.unix_path = "/tmp/falcon_transport_partial_test.sock";
@@ -194,6 +208,7 @@ TEST(ServiceTransportTest, RetryAfterHintScalesWithQueueDepth) {
   JsonValue opened = ReadResponse(chan_a);
   ASSERT_TRUE(opened.GetBool("ok")) << opened.Serialize();
   std::string id = opened.GetString("session");
+  WaitIdle(server);
   SendAll(fd_a, "{\"verb\":\"step\",\"session\":\"" + id +
                     "\",\"episodes\":0}\n");
   // Wait until the step is provably executing (not merely queued, not
@@ -265,6 +280,7 @@ TEST(ServiceTransportTest, StopResolvesQueuedRequestsWithUnavailable) {
   JsonValue opened = ReadResponse(chan_a);
   ASSERT_TRUE(opened.GetBool("ok")) << opened.Serialize();
   std::string id = opened.GetString("session");
+  WaitIdle(server);
   SendAll(fd_a, "{\"verb\":\"step\",\"session\":\"" + id +
                     "\",\"episodes\":0}\n");
   for (int i = 0; i < 50000 && server.inflight_requests() == 0; ++i) {
