@@ -18,14 +18,13 @@
 //
 // which recursively materializes only the ancestor chain actually needed,
 // then caches it for the lattice's lifetime. Counts use the fused
-// RowSet::AndCount kernel (no intermediate bitmap), EnsureCounts batches a
-// search frontier through ThreadPool::ParallelFor, and two-attribute nodes
-// can reuse pairwise predicate intersections memoized across successive
-// repairs in an IntersectionMemo. Applied queries incrementally maintain
-// whatever is cached (maintenance Cases 1–3 of Section 5.1.2, restricted to
-// the materialized subset); closed rule sets (Section 5.2) resolve a node's
-// representative through the predicate-closure rule without materializing
-// anything beyond the node itself.
+// RowSet::AndCount kernel (no intermediate bitmap), and EnsureCounts
+// batches a search frontier through ThreadPool::ParallelFor. Applied
+// queries incrementally maintain whatever is cached (maintenance Cases 1–3
+// of Section 5.1.2, restricted to the materialized subset); closed rule
+// sets (Section 5.2) resolve a node's representative through the
+// predicate-closure rule without materializing anything beyond the node
+// itself.
 #ifndef FALCON_CORE_LATTICE_H_
 #define FALCON_CORE_LATTICE_H_
 
@@ -49,7 +48,6 @@ using NodeId = uint32_t;
 enum class Validity : uint8_t { kUnknown, kValid, kInvalid };
 
 class PostingIndex;
-class IntersectionMemo;
 
 /// Hard ceiling on lattice attributes: node ids are 32-bit masks and the
 /// per-node state vectors are sized 2^k, so builds beyond this are refused
@@ -70,26 +68,16 @@ struct LatticeOptions {
   bool naive_init = false;
   /// Optional posting cache for predicate bitmaps (non-owning). Ignored by
   /// naive_init. When the index runs in delta-maintenance mode, ApplyNode
-  /// patches its bitmaps in place (see maintain_index); otherwise the
-  /// caller must invalidate updated columns.
+  /// reports each query's writes to it as deltas, keeping its bitmaps
+  /// exact; otherwise the caller must invalidate updated columns.
   PostingIndex* index = nullptr;
-  /// Keep the posting index exact across ApplyNode by reporting each
-  /// query's writes as deltas (only meaningful when the index is in
-  /// delta-maintenance mode). Off reverts to caller-side invalidation.
-  bool maintain_index = true;
   /// Materialize node affected-sets on first access instead of at Build
   /// (the default). Off forces the legacy eager build — every node's
   /// bitmap and count computed up front — kept for A/B benchmarks and the
   /// lazy≡eager equivalence tests. Either way accessors return identical
   /// bits; only the work schedule differs.
   bool lazy = true;
-  /// Optional cross-lattice cache of pairwise predicate intersections
-  /// (non-owning; lazy mode only). ApplyNode patches it exactly on every
-  /// applied query, which requires the memo to see *all* writes to the
-  /// table it summarizes: attach one memo per mutable table (the session
-  /// does), and never share it with a lattice applied to a cloned table.
-  IntersectionMemo* memo = nullptr;
-  /// Store predicate bitmaps and memoized node sets in the
+  /// Store predicate bitmaps and cached node sets in the
   /// density-adaptive compressed representation: each bitmap picks dense
   /// words or Roaring-style containers by its measured density
   /// (HybridRowSet::Compact), deterministically in its cardinality alone.
@@ -239,8 +227,8 @@ class Lattice {
   /// cached nodes), never O(table). Unmaterialized nodes stay
   /// unmaterialized and later materialize against the extended predicate
   /// bitmaps; count-only nodes get exact closed-form increments. The
-  /// attached PostingIndex/IntersectionMemo are NOT maintained here — the
-  /// caller routes the same append through their ApplyAppend first.
+  /// attached PostingIndex is NOT maintained here — the caller routes the
+  /// same append through its ApplyAppend first.
   void ApplyAppend(const Table& table);
 
   // --- Query materialization ---------------------------------------------------
@@ -283,10 +271,9 @@ class Lattice {
   void FinishEagerInit();
   /// Records that node m now holds cached state (bitmap and/or count).
   void MarkCached(NodeId m) const;
-  /// Materializes node m's bitmap via the ancestor-chain recurrence,
-  /// consulting the IntersectionMemo for two-attribute nodes. Also fills
-  /// counts_[m] (the bits are resident, so the count is free) and — in
-  /// compressed mode — compacts the bitmap by its density. Done in BOTH
+  /// Materializes node m's bitmap via the ancestor-chain recurrence. Also
+  /// fills counts_[m] (the bits are resident, so the count is free) and —
+  /// in compressed mode — compacts the bitmap by its density. Done in BOTH
   /// modes so the lazy counters, and with them SessionMetrics, stay
   /// bit-identical across representations.
   const HybridRowSet& MaterializeBitmap(NodeId m) const;
@@ -303,10 +290,8 @@ class Lattice {
   ValueId target_value_ = kNullValueId;
   size_t num_table_rows_ = 0;
   PostingIndex* index_ = nullptr;
-  bool maintain_index_ = true;
   bool lazy_ = true;
   bool compressed_ = false;
-  IntersectionMemo* memo_ = nullptr;
 
   /// Per-attribute predicate bitmaps (value copies — posting references
   /// can be invalidated/evicted under the lattice). ApplyNode maintains

@@ -37,8 +37,8 @@
 // Shared base tier (DESIGN.md "Shared base cache & epoch invalidation")
 //   - Each bases_ entry owns at most one SharedBaseCache keyed on the
 //     workload's snapshot id. Sessions opened over that base attach to it:
-//     postings and pairwise intersections over columns a session has not
-//     mutated are computed once process-wide and served to every session.
+//     postings over columns a session has not mutated are computed once
+//     process-wide and served to every session.
 //   - Lifecycle: the cache is created when the first session registers on
 //     a base and dropped (whole-tier invalidation + release) when the
 //     last session on that base closes; the workload itself stays cached.
@@ -107,8 +107,8 @@ struct ServiceLimits {
   /// Evicted sessions keep their journal + meta and can be resumed.
   double idle_timeout_s = 0.0;
   /// Attach sessions on one base to a process-wide SharedBaseCache of
-  /// postings + pairwise intersections (pure acceleration; bit-identical
-  /// behaviour). Off restores fully independent per-session caches.
+  /// postings (pure acceleration; bit-identical behaviour). Off restores
+  /// fully independent per-session caches.
   bool shared_base_cache = true;
   /// Byte cap per shared cache *and* on the sum across bases (LRU
   /// whole-cache invalidation when the aggregate exceeds it; 0 = unbounded).
@@ -149,9 +149,9 @@ struct ServiceHealth {
   /// Shared base tier, counted once per base cache (never per session).
   size_t shared_bases = 0;           ///< bases_ entries with a live cache.
   size_t shared_resident_bytes = 0;  ///< Σ cache resident bytes.
-  size_t shared_entries = 0;         ///< Σ cached postings+intersections.
-  size_t shared_hits = 0;            ///< Σ posting+intersection hits.
-  size_t shared_misses = 0;          ///< Σ posting+intersection misses.
+  size_t shared_entries = 0;         ///< Σ cached postings.
+  size_t shared_hits = 0;            ///< Σ posting hits.
+  size_t shared_misses = 0;          ///< Σ posting misses.
   /// Streaming-append aggregates across live sessions (as of each
   /// session's last status snapshot).
   size_t rows_appended = 0;

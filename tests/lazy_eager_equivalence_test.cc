@@ -6,7 +6,9 @@
 // {false, true}, for every search algorithm and both posting-maintenance
 // modes. These sweeps pin that property on seeded random workloads; the
 // direct lattice tests pin the accessor-level equivalence (affected sets,
-// counts, representatives) including after applied queries.
+// counts, representatives) including after applied queries, and a chain
+// of compressed lattices over one shared posting index pins the same at a
+// scale where bitmaps really compress.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/lattice.h"
 #include "core/oracle.h"
 #include "core/session.h"
@@ -271,6 +274,104 @@ TEST(LazyEagerLatticeTest, BatchedCountsMatchSerial) {
   // Counting everything still materializes only about half the nodes (the
   // lowest-set-bit parents): laziness survives a full-frontier count.
   EXPECT_LT(batched->lazy_stats().nodes_materialized, batched->num_nodes());
+}
+
+// A session's lattices in miniature, at a scale where storage compresses:
+// a chain of lazy, compressed lattices over one shared, delta-maintained
+// posting index, each repair binding predicates that recur from earlier
+// repairs, and each lattice applying a node before the next is built.
+// After every apply, the next lattice must agree node for node with a
+// naive_init build over the current table — counts and affected sets,
+// two-attribute nodes included.
+TEST(LazyEagerLatticeTest, CompressedChainOverSharedIndexMatchesNaive) {
+  // Two full 65,536-row chunks plus a partial one; the universe is far
+  // above HybridRowSet::kMinCompressUniverse, so sparse bitmaps compress.
+  constexpr size_t kRows = 2 * 65536 + 4321;
+  // Column 0 is the repaired column; the others span dense (3 values) to
+  // sparse (400 values) predicate bitmaps.
+  const size_t alphabet[] = {6, 3, 7, 40, 400, 12};
+  constexpr size_t kCols = sizeof(alphabet) / sizeof(alphabet[0]);
+  std::vector<std::string> names;
+  for (size_t c = 0; c < kCols; ++c) names.push_back("A" + std::to_string(c));
+  Table table("chain", Schema(names));
+  Rng rng(29);
+  std::vector<std::string> row(kCols);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < kCols; ++c) {
+      row[c] = "v" + std::to_string(rng.NextUint(alphabet[c]));
+    }
+    table.AppendRow(row);
+  }
+
+  // Repaired rows all share row 7's values on A1 and A2, so every lattice
+  // binds (A1, A2) to the same pair, while the other bindings vary. They
+  // are spread over all three chunks.
+  std::vector<uint32_t> repair_rows;
+  for (size_t r = 7; r < kRows && repair_rows.size() < 7; ++r) {
+    if (table.cell(r, 1) == table.cell(7, 1) &&
+        table.cell(r, 2) == table.cell(7, 2) &&
+        (repair_rows.empty() || r >= repair_rows.back() + 22000)) {
+      repair_rows.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  ASSERT_EQ(repair_rows.size(), 7u);
+
+  PostingIndexOptions index_opts;
+  index_opts.compressed = true;
+  PostingIndex index(&table, index_opts);
+  LatticeOptions lazy_opts;  // lazy = true by default.
+  lazy_opts.index = &index;
+  lazy_opts.compressed = true;
+  LatticeOptions naive_opts;
+  naive_opts.naive_init = true;
+  const std::vector<size_t> cols = {1, 2, 3, 4, 5};
+  // Applied nodes (bit 0 is the repaired column): two-attribute nodes with
+  // and without it, and wider ones.
+  const NodeId applied[] = {0b000011, 0b000110, 0b000111, 0b001001,
+                            0b010011, 0b100101, 0b000101};
+
+  bool saw_compressed_node = false;
+  for (size_t step = 0; step < repair_rows.size(); ++step) {
+    SCOPED_TRACE("lattice " + std::to_string(step));
+    uint32_t r = repair_rows[step];
+    std::string old_text(table.CellText(r, 0));
+    size_t old_value = std::stoul(old_text.substr(1));
+    Repair repair{r, 0,
+                  "v" + std::to_string((old_value + 1 + step) % alphabet[0])};
+    if (repair.new_value == old_text) {
+      repair.new_value = "v" + std::to_string((old_value + 1) % alphabet[0]);
+    }
+
+    auto lazy = Lattice::Build(table, repair, cols, lazy_opts);
+    auto naive = Lattice::Build(table, repair, cols, naive_opts);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    ASSERT_EQ(lazy->num_nodes(), naive->num_nodes());
+
+    // Alternate the count schedules: the batched frontier path on odd
+    // steps, the serial chain (top-down, so parents are counted late) on
+    // even ones. Counts come first so some are served without the node's
+    // own bitmap.
+    if (step % 2 == 1) {
+      std::vector<NodeId> all;
+      for (NodeId m = 0; m < lazy->num_nodes(); ++m) all.push_back(m);
+      lazy->EnsureCounts(all);
+    }
+    for (NodeId m = lazy->top() + 1; m-- > 0;) {
+      EXPECT_EQ(lazy->Count(m), naive->Count(m)) << "node " << m;
+    }
+    for (NodeId m = 0; m < lazy->num_nodes(); ++m) {
+      const HybridRowSet& rows = lazy->AffectedRows(m);
+      EXPECT_EQ(rows, naive->AffectedRows(m)) << "node " << m;
+      saw_compressed_node = saw_compressed_node || rows.compressed();
+    }
+
+    RowSet changed = lazy->ApplyNode(applied[step], table);
+    EXPECT_GT(changed.Count(), 0u);
+  }
+  EXPECT_TRUE(saw_compressed_node);
+  // The first miss on each lattice column filled every value of it.
+  EXPECT_GE(index.cached_entries(), 3u + 7u + 40u + 400u + 12u);
 }
 
 }  // namespace
